@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"log"
 	"net"
@@ -307,7 +308,11 @@ func renewLeases(cl *controller.Client, id string, dedicated bool, every time.Du
 // exportAndRefresh periodically ships counters and heavy flows, and
 // re-requests the instance configuration, hot-swapping the engine when
 // the controller's version advanced (the runtime pattern-update path).
+// A failed round is logged and counted in inst.refresh_errors, and the
+// next tick retries: the ticker is the backoff, so a controller outage
+// delays config updates but never ends them.
 func exportAndRefresh(cl *controller.Client, id string, dedicated bool, reg *obs.Registry, eng *atomic.Pointer[core.Engine], fl *trace.Flight, version *uint64, every time.Duration, stop <-chan struct{}) {
+	refreshErrors := reg.Counter("inst.refresh_errors")
 	tick := time.NewTicker(every)
 	defer tick.Stop()
 	for {
@@ -316,56 +321,64 @@ func exportAndRefresh(cl *controller.Client, id string, dedicated bool, reg *obs
 			return
 		case <-tick.C:
 		}
-		init, err := helloCtx(cl, id, dedicated)
-		if err != nil {
-			log.Printf("dpinstance: refresh: %v", err)
-			return
-		}
-		if init.Version != *version {
-			cfg, err := controller.ConfigFromInit(init)
-			// The rebuilt engine keeps feeding the shared registry so
-			// scrape-side counters never reset across config updates.
-			cfg.Metrics = reg
-			if err != nil {
-				log.Printf("dpinstance: bad update: %v", err)
-			} else if fresh, err := core.NewEngine(cfg); err != nil {
-				log.Printf("dpinstance: rebuild: %v", err)
-			} else {
-				fresh.SetFlight(fl)
-				eng.Store(fresh)
-				*version = init.Version
-				log.Printf("dpinstance %s: applied config v%d (%d patterns)",
-					id, *version, fresh.NumPatterns())
-			}
-		}
-		engine := eng.Load()
-		s := engine.Snapshot()
-		tel := ctlproto.Telemetry{
-			InstanceID: id, Packets: s.Packets, Bytes: s.Bytes,
-			BytesScanned: s.BytesScanned, Matches: s.Matches,
-		}
-		for _, f := range engine.FlowStats() {
-			if f.Bytes == 0 || float64(f.Matches)/float64(f.Bytes) < 0.01 {
-				continue
-			}
-			tel.HeavyFlows = append(tel.HeavyFlows, ctlproto.FlowTelemetry{
-				Flow: ctlproto.FlowKey{
-					Src: f.Tuple.Src.String(), Dst: f.Tuple.Dst.String(),
-					SrcPort: f.Tuple.SrcPort, DstPort: f.Tuple.DstPort,
-					Protocol: f.Tuple.Protocol,
-				},
-				Bytes: f.Bytes, Matches: f.Matches,
-			})
-			if len(tel.HeavyFlows) >= 16 {
-				break
-			}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
-		err = cl.SendTelemetry(ctx, tel)
-		cancel()
-		if err != nil {
-			log.Printf("dpinstance: telemetry: %v", err)
-			return
+		if err := refreshOnce(cl, id, dedicated, reg, eng, fl, version); err != nil {
+			refreshErrors.Inc()
+			log.Printf("dpinstance %s: refresh: %v", id, err)
 		}
 	}
+}
+
+// refreshOnce runs one export-and-refresh round. It returns the error
+// of a failed hello or telemetry send; a config the instance cannot
+// build is logged and the old engine kept.
+func refreshOnce(cl *controller.Client, id string, dedicated bool, reg *obs.Registry, eng *atomic.Pointer[core.Engine], fl *trace.Flight, version *uint64) error {
+	init, err := helloCtx(cl, id, dedicated)
+	if err != nil {
+		return fmt.Errorf("hello: %w", err)
+	}
+	if init.Version != *version {
+		cfg, err := controller.ConfigFromInit(init)
+		// The rebuilt engine keeps feeding the shared registry so
+		// scrape-side counters never reset across config updates.
+		cfg.Metrics = reg
+		if err != nil {
+			log.Printf("dpinstance: bad update: %v", err)
+		} else if fresh, err := core.NewEngine(cfg); err != nil {
+			log.Printf("dpinstance: rebuild: %v", err)
+		} else {
+			fresh.SetFlight(fl)
+			eng.Swap(fresh).Retire()
+			*version = init.Version
+			log.Printf("dpinstance %s: applied config v%d (%d patterns)",
+				id, *version, fresh.NumPatterns())
+		}
+	}
+	engine := eng.Load()
+	s := engine.Snapshot()
+	tel := ctlproto.Telemetry{
+		InstanceID: id, Packets: s.Packets, Bytes: s.Bytes,
+		BytesScanned: s.BytesScanned, Matches: s.Matches,
+	}
+	for _, f := range engine.FlowStats() {
+		if f.Bytes == 0 || float64(f.Matches)/float64(f.Bytes) < 0.01 {
+			continue
+		}
+		tel.HeavyFlows = append(tel.HeavyFlows, ctlproto.FlowTelemetry{
+			Flow: ctlproto.FlowKey{
+				Src: f.Tuple.Src.String(), Dst: f.Tuple.Dst.String(),
+				SrcPort: f.Tuple.SrcPort, DstPort: f.Tuple.DstPort,
+				Protocol: f.Tuple.Protocol,
+			},
+			Bytes: f.Bytes, Matches: f.Matches,
+		})
+		if len(tel.HeavyFlows) >= 16 {
+			break
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
+	defer cancel()
+	if err := cl.SendTelemetry(ctx, tel); err != nil {
+		return fmt.Errorf("telemetry: %w", err)
+	}
+	return nil
 }

@@ -47,6 +47,9 @@ func startWire(listen, verdicts, id string, init ctlproto.InstanceInit, eng *ato
 			return nil, fmt.Errorf("verdict consumer %s: %w", verdicts, err)
 		}
 		log.Printf("dpinstance %s: forwarding verdicts to %s", id, verdicts)
+		// Verdicts staged by a receive batch leave with that batch's
+		// results instead of waiting for the session's retransmit tick.
+		srv.OnBatch(vc.Flush)
 	}
 
 	// Handlers run on the server's single receive goroutine, so one

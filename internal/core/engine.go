@@ -560,6 +560,24 @@ func (e *Engine) EndFlow(tuple packet.FiveTuple) {
 	}
 }
 
+// Retire drops the flow table of an engine that a hot-swap has
+// replaced and subtracts its flows from the core.flows_active gauge,
+// which engines sharing one registry all feed. Without it every swap
+// would leave the retired engine's flows in the gauge. Call it once,
+// after the replacement is published. A scan still in flight on the
+// retired engine is safe, as with eviction; a flow it admits after
+// Retire stays counted.
+func (e *Engine) Retire() {
+	n := 0
+	for _, sh := range e.shards {
+		sh.mu.Lock()
+		n += len(sh.flows)
+		clear(sh.flows)
+		sh.mu.Unlock()
+	}
+	e.met.flowsActive.Add(-int64(n))
+}
+
 // ActiveFlows reports the number of tracked flows.
 func (e *Engine) ActiveFlows() int {
 	n := 0

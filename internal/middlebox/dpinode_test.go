@@ -6,6 +6,7 @@ import (
 
 	"dpiservice/internal/core"
 	"dpiservice/internal/netsim"
+	"dpiservice/internal/obs"
 	"dpiservice/internal/packet"
 	"dpiservice/internal/patterns"
 	"dpiservice/internal/traffic"
@@ -278,5 +279,39 @@ func TestDPINodeSwapEngine(t *testing.T) {
 	frames := r.collect(t, 2)
 	if !packet.HasECNMark(frames[0]) {
 		t.Error("new pattern not matched after swap")
+	}
+}
+
+// TestDPINodeSwapRetiresFlows swaps out an engine holding 64 flows on a
+// registry the two engines share: core.flows_active must then equal the
+// new engine's flow count, not keep the retired engine's flows.
+func TestDPINodeSwapRetiresFlows(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := dpiCfg()
+	cfg.Metrics = reg
+	r := newDPIRig(t, cfg)
+	old := r.node.Engine()
+	for i := 0; i < 64; i++ {
+		tuple := packet.FiveTuple{Src: packet.IP4{10, 0, 0, byte(i)}, Dst: packet.IP4{10, 0, 0, 2}, SrcPort: uint16(2000 + i), DstPort: 80, Protocol: 6}
+		if _, err := old.Inspect(1, tuple, []byte("clean")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gauge := func() int64 {
+		v, _ := reg.Snapshot().Gauge("core.flows_active")
+		return v
+	}
+	if g := gauge(); g != 64 {
+		t.Fatalf("core.flows_active = %d before the swap, want 64", g)
+	}
+	fresh, err := core.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.node.SwapEngine(fresh)
+	r.inject(taggedFrame(t, 1, "clean"))
+	r.collect(t, 1)
+	if g, live := gauge(), fresh.ActiveFlows(); g != int64(live) || live != 1 {
+		t.Fatalf("core.flows_active = %d after the swap, want the new engine's %d (1)", g, live)
 	}
 }

@@ -134,12 +134,15 @@ func (n *DPINode) engineRef() *core.Engine {
 // applies a controller-pushed pattern-set or chain update at runtime.
 // Stateful flows restart their scan from the swap point; the paper's
 // design makes this loss cheap (an instance holds only a DFA state and
-// an offset per flow, Section 4.3).
+// an offset per flow, Section 4.3). The old engine is retired, so its
+// flows leave the core.flows_active gauge.
 func (n *DPINode) SwapEngine(e *core.Engine) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	old := n.engine
 	n.engine = e
 	n.met = newNodeMetrics(e.Metrics())
+	n.mu.Unlock()
+	old.Retire()
 }
 
 // metRef returns the node's current instruments (paired with the

@@ -330,6 +330,10 @@ func (c *Conn) sendReliable(t Type, flags uint8, tag uint16, tuple packet.FiveTu
 		}
 		seq, err := c.ep.SendEx(t, flags, c.scratch, c.now(), c.emit)
 		if err == ErrWindowFull {
+			// The frames whose acks would open the window may still be
+			// staged; send them before waiting, or the wait lasts until
+			// the next tick.
+			c.st.flush()
 			c.cond.Wait()
 			continue
 		}

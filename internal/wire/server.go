@@ -38,6 +38,10 @@ type Session struct {
 	// frames only); valid in handler context, cleared after dispatch.
 	curTraceID uint64
 	curPktIdx  uint32
+
+	// touched marks the session as listed in Server.dirty: it received
+	// frames in the current receive batch and is flushed at its end.
+	touched bool
 }
 
 type pendingFrame struct {
@@ -140,7 +144,9 @@ func (s *Session) drainPending(now int64) {
 // the OnData/OnVerdict handlers. Handlers run on the receive
 // goroutine: the server is a single-threaded event loop, with a
 // ticker goroutine borrowing the same lock for retransmission and
-// session expiry.
+// session expiry. Replies are flushed once per receive batch, not per
+// datagram: each peer heard from in a batch gets its coalesced replies
+// and at most one ack in a single transport write.
 type Server struct {
 	tr  Transport
 	cfg Config
@@ -155,6 +161,7 @@ type Server struct {
 	onHello   func(s *Session)
 	onData    func(s *Session, seq uint32, tag uint16, tuple packet.FiveTuple, payload []byte)
 	onVerdict func(s *Session, tag uint16, tuple packet.FiveTuple, report []byte)
+	onBatch   func()
 	logf      func(format string, args ...any)
 
 	mu       sync.Mutex
@@ -164,7 +171,11 @@ type Server struct {
 	ackBuf   []byte
 	scratch  []byte // reply payload assembly, reused across handlers
 	expired  []Addr // reusable scratch for the expiry sweep
-	wrErr    error
+	// dirty lists the sessions touched by the current receive batch. A
+	// batch holds at most DefaultBatch datagrams and each touches one
+	// session, so the preallocated capacity is never outgrown.
+	dirty []*Session
+	wrErr error
 }
 
 // NewServer wraps a bound transport. key is the cluster key session
@@ -184,6 +195,7 @@ func NewServer(tr Transport, key uint64, cfg Config, met *Metrics) *Server {
 		sessions:  make(map[Addr]*Session),
 		ackBuf:    make([]byte, SackBytes(cfg.Window)),
 		scratch:   make([]byte, 0, MaxFramePayload),
+		dirty:     make([]*Session, 0, DefaultBatch),
 	}
 }
 
@@ -199,6 +211,13 @@ func (v *Server) OnData(fn func(s *Session, seq uint32, tag uint16, tuple packet
 func (v *Server) OnVerdict(fn func(s *Session, tag uint16, tuple packet.FiveTuple, report []byte)) {
 	v.onVerdict = fn
 }
+
+// OnBatch registers a callback run once after each receive batch has
+// been handled and every touched session flushed, in handler context
+// (under the server lock). A handler that forwards frames on another
+// connection flushes that connection here, so forwarded frames leave
+// with the batch that produced them. Before Start only.
+func (v *Server) OnBatch(fn func()) { v.onBatch = fn }
 
 // SetLogf routes server diagnostics. Before Start only.
 func (v *Server) SetLogf(fn func(format string, args ...any)) { v.logf = fn }
@@ -260,12 +279,17 @@ func (v *Server) recvLoop() {
 		for i := 0; i < n; i++ {
 			v.handleDatagram(dgs[i].Addr, dgs[i].Buf)
 		}
+		v.flushTouched()
+		if v.onBatch != nil {
+			v.onBatch()
+		}
 		v.mu.Unlock()
 	}
 }
 
-// handleDatagram walks one datagram's frames, then flushes the
-// session's acks and staged replies. Caller holds mu.
+// handleDatagram walks one datagram's frames and marks the session
+// they belong to as touched; its replies leave in flushTouched at the
+// end of the batch. Caller holds mu.
 //
 //dpi:hotpath
 func (v *Server) handleDatagram(from Addr, buf []byte) {
@@ -282,14 +306,28 @@ func (v *Server) handleDatagram(from Addr, buf []byte) {
 			sess = s
 		}
 	}
-	if sess == nil {
-		return
+	if sess != nil && !sess.touched {
+		sess.touched = true
+		v.dirty = append(v.dirty, sess)
 	}
-	sess.drainPending(v.nowNanos)
-	if sess.ep.AckDue() {
-		sess.ep.BuildAck(v.ackBuf, sess.emit)
+}
+
+// flushTouched ends a receive batch: each session touched by it moves
+// queued frames into its window, builds at most one ack, and writes
+// all its staged frames in one transport call. Caller holds mu.
+//
+//dpi:hotpath
+func (v *Server) flushTouched() {
+	for i, sess := range v.dirty {
+		sess.touched = false
+		sess.drainPending(v.nowNanos)
+		if sess.ep.AckDue() {
+			sess.ep.BuildAck(v.ackBuf, sess.emit)
+		}
+		sess.st.flush()
+		v.dirty[i] = nil
 	}
-	sess.st.flush()
+	v.dirty = v.dirty[:0]
 }
 
 // handleFrame dispatches one frame and returns the session it belongs
